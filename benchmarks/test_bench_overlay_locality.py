@@ -42,6 +42,7 @@ from repro.metrics.selection import counters
 from repro.p2p.selection import RankedPeerListProvider
 from repro.p2p.storm import OverlayStormConfig, run_overlay_storm, run_storm_comparison
 from repro.trace.report import join_breakdown
+from tests.oracles.selection_scan import ScanRankedPeerListProvider
 
 VIEWERS = int(os.environ.get("OVERLAY_BENCH_VIEWERS", "1200"))
 SEED = int(os.environ.get("OVERLAY_BENCH_SEED", "20110620"))
@@ -118,12 +119,10 @@ CURVE = (1, 3, 10)
 PROBE_CALLS = 40
 
 
-def _probe(deployment, channel, regions, use_index):
+def _probe(deployment, channel, regions, provider_cls):
     """Time PROBE_CALLS ranked list requests against the final overlay
     and report mean wall microseconds and candidates per request."""
-    provider = RankedPeerListProvider(
-        deployment.overlays, deployment.geo, random.Random(1), use_index=use_index
-    )
+    provider = provider_cls(deployment.overlays, deployment.geo, random.Random(1))
     rng = random.Random(4)
     addrs = [
         deployment.geo.random_address(regions[i % len(regions)], rng)
@@ -163,10 +162,16 @@ def test_bench_overlay_index_scaling_curve():
             "storm_candidates_per_request": arm["candidates_per_request"],
             "selection": arm["selection"],
             "probe_indexed": _probe(
-                result.deployment, config.channel, list(config.regions), True
+                result.deployment,
+                config.channel,
+                list(config.regions),
+                RankedPeerListProvider,
             ),
             "probe_scan": _probe(
-                result.deployment, config.channel, list(config.regions), False
+                result.deployment,
+                config.channel,
+                list(config.regions),
+                ScanRankedPeerListProvider,
             ),
         }
 

@@ -31,8 +31,8 @@ from repro.core.protocol import (
     JoinRequest,
     KeyUpdate,
     Login1Request,
+    Login1Response,
     Login2Request,
-    PeerDescriptor,
     Switch1Request,
     Switch2Request,
     Switch2Response,
@@ -51,6 +51,61 @@ from repro.errors import (
 )
 from repro.trace.span import Tracer, maybe_span
 from repro.util.wire import Decoder
+
+
+def build_login2_request(
+    email: str,
+    key: RsaPrivateKey,
+    shp: bytes,
+    version: str,
+    image: bytes,
+    response: Login1Response,
+) -> Tuple[Login2Request, float]:
+    """Answer a LOGIN1 reply (Fig. 4a).
+
+    Opens the blob under the secure password hash ``shp``, computes
+    the image checksum with the parameters it carries, and signs
+    nonce + checksum + version.  Returns the LOGIN2 request and the
+    server time the blob carried.
+    """
+    blob_key = SymmetricKey(material=shp[:16])
+    plain = blob_key.decrypt(
+        response.encrypted_blob, nonce=response.blob_nonce, aad=b"login1"
+    )
+    dec = Decoder(plain)
+    nonce = dec.get_bytes()
+    params = ChecksumParams(
+        salt=dec.get_bytes(), offset_seed=dec.get_u32(), length=dec.get_u32()
+    )
+    server_time = dec.get_f64()
+    dec.finish()
+    checksum = params.compute(image)
+    payload = nonce + checksum + version.encode("utf-8")
+    request = Login2Request(
+        email=email,
+        client_public_key=key.public_key,
+        token=response.token,
+        nonce=nonce,
+        checksum=checksum,
+        version=version,
+        signature=key.sign(payload),
+    )
+    return request, server_time
+
+
+def switch2_request(
+    request1: Switch1Request, token, signature: bytes
+) -> Switch2Request:
+    """The SWITCH2 (or RENEW2) request answering ``request1``'s
+    challenge: same User Ticket, same target (channel or expiring
+    ticket), plus the signed nonce (Fig. 4b)."""
+    return Switch2Request(
+        user_ticket=request1.user_ticket,
+        token=token,
+        signature=signature,
+        channel_id=request1.channel_id,
+        expiring_ticket=request1.expiring_ticket,
+    )
 
 
 @dataclass
@@ -171,34 +226,13 @@ class Client:
             response1 = user_manager.login1(
                 Login1Request(email=self.email, client_public_key=self.public_key), now
             )
-        blob_key = SymmetricKey(material=self._shp[:16])
-        plain = blob_key.decrypt(
-            response1.encrypted_blob, nonce=response1.blob_nonce, aad=b"login1"
+        request2, server_time = build_login2_request(
+            self.email, self._key, self._shp, self.version, self.image, response1
         )
-        dec = Decoder(plain)
-        nonce = dec.get_bytes()
-        params = ChecksumParams(
-            salt=dec.get_bytes(), offset_seed=dec.get_u32(), length=dec.get_u32()
-        )
-        server_time = dec.get_f64()
-        dec.finish()
         self.clock_offset = server_time - now
-
-        checksum = params.compute(self.image)
-        payload = nonce + checksum + self.version.encode("utf-8")
         with maybe_span(self.tracer, "LOGIN2", now=now, kind="round"):
             response2 = user_manager.login2(
-                Login2Request(
-                    email=self.email,
-                    client_public_key=self.public_key,
-                    token=response1.token,
-                    nonce=nonce,
-                    checksum=checksum,
-                    version=self.version,
-                    signature=self._key.sign(payload),
-                ),
-                observed_addr=self.net_addr,
-                now=now,
+                request2, observed_addr=self.net_addr, now=now
             )
         ticket = response2.ticket
         ticket.verify(endpoint.public_key, now)
@@ -319,24 +353,8 @@ class Client:
         record = self.channel_list.get(channel_id)
         if record is None or record.channel_manager_addr is None:
             raise ProtocolError(f"channel {channel_id!r} not in my channel list")
-        channel_manager = self._directory.resolve(record.channel_manager_addr)
-
-        with maybe_span(self.tracer, "SWITCH1", now=now, kind="round"):
-            response1 = channel_manager.switch1(
-                Switch1Request(user_ticket=self.user_ticket, channel_id=channel_id), now
-            )
-        signature = answer_challenge(response1.token, self._key)
-        with maybe_span(self.tracer, "SWITCH2", now=now, kind="round"):
-            response2 = channel_manager.switch2(
-                Switch2Request(
-                    user_ticket=self.user_ticket,
-                    token=response1.token,
-                    signature=signature,
-                    channel_id=channel_id,
-                ),
-                observed_addr=self.net_addr,
-                now=now,
-            )
+        request1 = Switch1Request(user_ticket=self.user_ticket, channel_id=channel_id)
+        response2 = self._switch_rounds(record, request1, ("SWITCH1", "SWITCH2"), now)
         self._adopt_channel_ticket(response2.ticket, reset_state=True)
         return response2
 
@@ -351,29 +369,33 @@ class Client:
         record = self.channel_list.get(self.channel_ticket.channel_id)
         if record is None or record.channel_manager_addr is None:
             raise ProtocolError("channel no longer in my channel list")
-        channel_manager = self._directory.resolve(record.channel_manager_addr)
+        request1 = Switch1Request(
+            user_ticket=self.user_ticket, expiring_ticket=self.channel_ticket
+        )
+        response2 = self._switch_rounds(record, request1, ("RENEW1", "RENEW2"), now)
+        self._adopt_channel_ticket(response2.ticket, reset_state=False)
+        return response2
 
-        with maybe_span(self.tracer, "RENEW1", now=now, kind="round"):
-            response1 = channel_manager.switch1(
-                Switch1Request(
-                    user_ticket=self.user_ticket, expiring_ticket=self.channel_ticket
-                ),
-                now,
-            )
+    def _switch_rounds(
+        self,
+        record: ChannelRecord,
+        request1: Switch1Request,
+        round_names: Tuple[str, str],
+        now: float,
+    ) -> Switch2Response:
+        """The shared SWITCH1+SWITCH2 exchange (fresh issue or renewal)
+        with the channel's manager, one span per round."""
+        round1_name, round2_name = round_names
+        channel_manager = self._directory.resolve(record.channel_manager_addr)
+        with maybe_span(self.tracer, round1_name, now=now, kind="round"):
+            response1 = channel_manager.switch1(request1, now)
         signature = answer_challenge(response1.token, self._key)
-        with maybe_span(self.tracer, "RENEW2", now=now, kind="round"):
-            response2 = channel_manager.switch2(
-                Switch2Request(
-                    user_ticket=self.user_ticket,
-                    token=response1.token,
-                    signature=signature,
-                    expiring_ticket=self.channel_ticket,
-                ),
+        with maybe_span(self.tracer, round2_name, now=now, kind="round"):
+            return channel_manager.switch2(
+                switch2_request(request1, response1.token, signature),
                 observed_addr=self.net_addr,
                 now=now,
             )
-        self._adopt_channel_ticket(response2.ticket, reset_state=False)
-        return response2
 
     def _adopt_channel_ticket(self, ticket: ChannelTicket, reset_state: bool) -> None:
         self.channel_ticket = ticket

@@ -48,7 +48,7 @@ from repro.metrics.hotpath import counters as hotpath_counters
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.selection import counters as selection_counters
 from repro.resilience.counters import ResilienceCounters
-from repro.p2p.overlay import ChannelOverlay, RepairRanker
+from repro.p2p.overlay import ChannelOverlay
 from repro.p2p.peer import Peer
 from repro.p2p.scorecard import JOIN_FLOOD, PeerScorecard
 from repro.p2p.selection import RankedPeerListProvider
@@ -194,12 +194,6 @@ class Deployment:
             same_region_fraction=0.75,
         )
         self._active_peer_list_provider = self.ranked_provider
-        # Both repair hooks point at the ranked provider: remove_peer
-        # prefers the index-backed selector; the legacy ranker stays
-        # wired for external callers that still invoke it directly.
-        self._repair_ranker: Optional[RepairRanker] = (
-            self.ranked_provider.rank_for_repair
-        )
         self._repair_selector = self.ranked_provider.select_repair
         for name in partitions:
             cm_drbg = self._drbg.fork(f"cm-{name}".encode())
@@ -273,9 +267,7 @@ class Deployment:
             random.Random(self.rng.randrange(2**63)),
             same_region_fraction=same_region_fraction,
         )
-        self._install_peer_list_provider(
-            sampler, repair_ranker=None, repair_selector=None
-        )
+        self._install_peer_list_provider(sampler, repair_selector=None)
 
     def use_ranked_peer_lists(self, same_region_fraction: float = 0.75) -> None:
         """(Re)install the ranked pipeline, e.g. with a custom privacy cap.
@@ -295,25 +287,21 @@ class Deployment:
         )
         self._install_peer_list_provider(
             self.ranked_provider,
-            repair_ranker=self.ranked_provider.rank_for_repair,
             repair_selector=self.ranked_provider.select_repair,
         )
 
     def use_uniform_peer_lists(self) -> None:
         """Fall back to uniform sampling (the A/B baseline arm)."""
         self._install_peer_list_provider(
-            self._peer_list_provider, repair_ranker=None, repair_selector=None
+            self._peer_list_provider, repair_selector=None
         )
 
-    def _install_peer_list_provider(
-        self, provider, repair_ranker, repair_selector=None
-    ) -> None:
+    def _install_peer_list_provider(self, provider, repair_selector) -> None:
         """Point every CM farm (primaries + replicas) and every
         overlay's churn-repair path at one selection policy.  Farms and
         channels created later inherit it via
         ``_active_peer_list_provider`` / ``_repair_selector``."""
         self._active_peer_list_provider = provider
-        self._repair_ranker = repair_ranker
         self._repair_selector = repair_selector
         for manager in self.channel_managers.values():
             manager.set_peer_list_provider(provider)
@@ -321,7 +309,6 @@ class Deployment:
             for replica in replicas:
                 replica.set_peer_list_provider(provider)
         for overlay in self.overlays.values():
-            overlay.repair_ranker = repair_ranker
             overlay.repair_selector = repair_selector
 
     def analytics_for(self, channel_id: str):
@@ -384,7 +371,6 @@ class Deployment:
             source_capacity=self.source_capacity,
             substream_count=self.substream_count,
         )
-        overlay.repair_ranker = self._repair_ranker
         overlay.repair_selector = self._repair_selector
         if self.scorecard is not None:
             overlay.scorecard = self.scorecard

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict
 
 from repro.core.challenge import answer_challenge
-from repro.core.protocol import JoinRequest, Login1Request, Switch1Request, Switch2Request
+from repro.core.client import switch2_request
+from repro.core.protocol import JoinRequest, Login1Request, Switch1Request
 from repro.deployment import Deployment
 from repro.experiments.common import ServiceTimes
 
@@ -93,12 +94,7 @@ def calibrate(repetitions: int = 30, seed: int = 99) -> CalibrationReport:
         token = channel_manager.switch1(switch1_request, now).token
         signature = answer_challenge(token, client.private_key)
         channel_manager.switch2(
-            Switch2Request(
-                user_ticket=client.user_ticket,
-                token=token,
-                signature=signature,
-                channel_id="cal",
-            ),
+            switch2_request(switch1_request, token, signature),
             observed_addr=client.net_addr,
             now=now,
         )

@@ -26,6 +26,7 @@ paper's hourly/peak-vs-off-peak analyses.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -223,7 +224,11 @@ class WeeklongRunner:
                     "LOGIN1", service.login1, "LOGIN2", service.login2,
                 )
             elif event.op in (OP_SWITCH, OP_RENEW):
-                partition = hash(event.channel) % config.cm_partitions
+                # A stable digest, not the built-in str hash: that one is
+                # salted per process (PYTHONHASHSEED), so the CM split --
+                # and cm_utilizations -- would vary from run to run.
+                channel_key = zlib.crc32(event.channel.encode("utf-8"))
+                partition = channel_key % config.cm_partitions
                 two_round_exchange(
                     event.time, region, cm_stations[partition],
                     "SWITCH1", service.switch1, "SWITCH2", service.switch2,

@@ -6,9 +6,18 @@
   by protocol round and by hour, plus peak/off-peak splits;
 * :mod:`repro.metrics.reporting` -- plain-text tables and figure
   series shaped like the paper's plots;
+* :mod:`repro.metrics.block` -- :class:`CounterBlock`, the shared
+  base (reset/snapshot/merge/delta_since) of every counter block;
 * :mod:`repro.metrics.hotpath` -- counters for the ticket pipeline's
   fast paths (CRT signing, the verification cache, compiled policy
   indexes);
+* :mod:`repro.metrics.dataplane` -- cipher and forwarding counters;
+* :mod:`repro.metrics.selection` -- peer-selection cost counters;
+* :mod:`repro.metrics.adversary` -- per-deployment misbehavior
+  detection and containment counters;
+* :mod:`repro.metrics.sharding` -- placement and resharding counters;
+* :mod:`repro.metrics.durability` -- WAL, snapshot and recovery
+  statistics of the durable stores;
 * :mod:`repro.metrics.registry` -- one front door over every counter
   source (hot path, durability stores, links, tracer).
 """

@@ -16,12 +16,13 @@ not share misbehavior books.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict
+from dataclasses import dataclass
+
+from repro.metrics.block import CounterBlock
 
 
 @dataclass
-class MisbehaviorCounters:
+class MisbehaviorCounters(CounterBlock):
     """One deployment's detection/containment tallies."""
 
     #: Undecryptable packets attributed to the forwarding parent while
@@ -50,10 +51,3 @@ class MisbehaviorCounters:
     #: Orphans re-parented during evictions (repair routed around the
     #: quarantined peer by construction).
     eviction_repairs: int = 0
-
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -19,12 +19,13 @@ single-threaded and the real system would shard these per worker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict
+from dataclasses import dataclass
+
+from repro.metrics.block import CounterBlock
 
 
 @dataclass
-class DataplaneCounters:
+class DataplaneCounters(CounterBlock):
     """Process-wide counters for the media data plane."""
 
     #: Plaintext bytes sealed into content packets (Channel Server side).
@@ -46,31 +47,6 @@ class DataplaneCounters:
     fanout_messages: int = 0
     #: Batched fan-out invocations (one per key per forwarding peer).
     fanout_batches: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter (benchmarks call this between phases)."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        """A plain-dict copy, for reports and BENCH_*.json files."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge(self, delta: Dict[str, int]) -> None:
-        """Fold a worker process's counter delta into this instance.
-
-        The crypto pool's snapshot-and-merge protocol: each worker
-        snapshots its process-global counters before and after a task
-        and ships back the difference, which the parent merges here so
-        offloaded work stays visible in ``Deployment.metrics``.
-        Unknown names are an error -- a typo'd key would silently drop
-        work from the books.
-        """
-        names = {f.name for f in fields(self)}
-        for name, value in delta.items():
-            if name not in names:
-                raise ValueError(f"unknown dataplane counter: {name!r}")
-            setattr(self, name, getattr(self, name) + value)
 
 
 #: The process-global counter instance the library increments.

@@ -17,20 +17,21 @@ on a process-global instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict
+from dataclasses import dataclass
+
+from repro.metrics.block import CounterBlock
 
 
 @dataclass
-class SelectionCounters:
+class SelectionCounters(CounterBlock):
     """Process-wide counters for the peer-selection plane."""
 
     #: Peer-list/repair selections served (ranked, region, or repair).
     requests: int = 0
     #: Subset of :attr:`requests` answered from the candidate index.
     index_hits: int = 0
-    #: Subset of :attr:`requests` that fell back to a full O(n) scan
-    #: (index disabled, or a scan-reference provider).
+    #: Subset of :attr:`requests` answered by a full O(n) scan (the
+    #: test suite's reference provider; the library never scans).
     fallback_scans: int = 0
     #: Candidates examined across all requests (scan: every eligible
     #: member per request; index: validated heap pops per request).
@@ -45,27 +46,6 @@ class SelectionCounters:
     rebuilds: int = 0
     #: ``CandidateIndex.verify_against`` self-checks executed.
     verify_checks: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter (benchmarks call this between phases)."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        """A plain-dict copy, for reports and BENCH_*.json files."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge(self, delta: Dict[str, int]) -> None:
-        """Fold a worker process's counter delta into this instance."""
-        names = {f.name for f in fields(self)}
-        for name, value in delta.items():
-            if name not in names:
-                raise ValueError(f"unknown selection counter: {name!r}")
-            setattr(self, name, getattr(self, name) + value)
-
-    def delta_since(self, before: Dict[str, int]) -> Dict[str, int]:
-        """Counter growth since a :meth:`snapshot` (storm windows)."""
-        return {name: value - before.get(name, 0) for name, value in self.snapshot().items()}
 
     @property
     def candidates_per_request(self) -> float:

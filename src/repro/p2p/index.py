@@ -30,7 +30,7 @@ compacted (rebuilt from the member array; counted in
 
 **Determinism.**  Ranking ties break on a *stable* per-peer jitter --
 a keyed blake2b of the peer id under a per-overlay salt -- rather than
-per-request randomness, so the index-backed and scan-backed providers
+per-request randomness, so the index and an O(n) reference scan
 produce byte-identical lists from the same overlay state (the
 equivalence pin in ``tests/p2p/test_selection_equivalence.py``).
 Herding is still avoided: the jitter decorrelates equal-rank peers

@@ -21,15 +21,13 @@ the world by geography for free.
 
 Both answer requests from the overlay's incrementally-maintained
 :class:`~repro.p2p.index.CandidateIndex` -- O(count + buckets.log) per
-request -- with an O(n) scan retained as the *reference path*
-(``use_index=False``).  The two paths are pinned byte-identical for
-the ranked provider: ranking ties break on a stable per-peer keyed
-hash (:func:`~repro.p2p.index.stable_jitter` under the overlay's
-salt), not per-request randomness, so the same overlay state always
-yields the same list from either path (the Hypothesis equivalence
-suite asserts this across churn interleavings).  Herding is still
-avoided: every accepted join changes the winner's spare capacity and
-rotates its bucket's head before the next request.
+request.  Ranking ties break on a stable per-peer keyed hash
+(:func:`~repro.p2p.index.stable_jitter` under the overlay's salt), not
+per-request randomness, so the same overlay state always yields the
+same list; the test suite pins the index against an O(n) reference
+scan across churn interleavings.  Herding is still avoided: every
+accepted join changes the winner's spare capacity and rotates its
+bucket's head before the next request.
 """
 
 from __future__ import annotations
@@ -39,14 +37,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.protocol import PeerDescriptor
 from repro.metrics.selection import counters
-from repro.p2p.index import stable_jitter
 from repro.p2p.overlay import ChannelOverlay
 from repro.p2p.peer import Peer
-
-#: Jitter salt for :meth:`RankedPeerListProvider.rank_for_repair`, the
-#: legacy explicit-candidate-set API that carries no overlay (and so no
-#: per-overlay salt).  A fixed salt keeps it deterministic.
-_DETACHED_SALT = b"rank-for-repair"
 
 
 def merge_with_quota(
@@ -125,22 +117,6 @@ class _PeerListPipeline:
         local = sum(1 for d in sample if d.region == region)
         return local / len(sample)
 
-    @staticmethod
-    def _scan_eligible(
-        overlay: ChannelOverlay, exclude_addr: str
-    ) -> List[Peer]:
-        """The reference path's full-membership gather (O(n))."""
-        eligible = [
-            peer
-            for peer in overlay.peers.values()
-            if peer.alive
-            and peer.spare_capacity > 0
-            and peer.address != exclude_addr
-            and overlay.admissible(peer)
-        ]
-        counters.candidates_considered += len(eligible)
-        return eligible
-
 
 class RegionAwarePeerSampler(_PeerListPipeline):
     """Prefer same-region parents, then spare capacity, then luck.
@@ -160,11 +136,6 @@ class RegionAwarePeerSampler(_PeerListPipeline):
         becomes a region-partition oracle -- a privacy point: peer
         lists already reveal addresses, they should not additionally
         sort the world by geography for free).
-    use_index:
-        Draw both region classes from the overlay's candidate index
-        (O(count) uniform samples) instead of shuffling two full
-        membership lists per call.  The scan path remains as the
-        fallback for overlays without an index.
     """
 
     def __init__(
@@ -173,7 +144,6 @@ class RegionAwarePeerSampler(_PeerListPipeline):
         geo,
         rng: random.Random,
         same_region_fraction: float = 0.75,
-        use_index: bool = True,
     ) -> None:
         if not 0.0 <= same_region_fraction <= 1.0:
             raise ValueError("same_region_fraction must be a fraction")
@@ -181,7 +151,6 @@ class RegionAwarePeerSampler(_PeerListPipeline):
         self._geo = geo
         self._rng = rng
         self.same_region_fraction = same_region_fraction
-        self.use_index = use_index
 
     def __call__(
         self, channel_id: str, exclude_addr: str, count: int
@@ -192,24 +161,15 @@ class RegionAwarePeerSampler(_PeerListPipeline):
             return []
         counters.requests += 1
         requester_region = self._geo.region_of(exclude_addr)
-        index = getattr(overlay, "index", None) if self.use_index else None
-        if index is not None:
-            counters.index_hits += 1
-            # ``count`` per side covers the worst-case consumption of
-            # the merge + top-up tail (at most ``count`` from one side).
-            local = index.sample_region(
-                self._rng, requester_region, count, exclude_addr=exclude_addr
-            )
-            remote = index.sample_outside_region(
-                self._rng, requester_region, count, exclude_addr=exclude_addr
-            )
-        else:
-            counters.fallback_scans += 1
-            candidates = self._scan_eligible(overlay, exclude_addr)
-            local = [p for p in candidates if p.region == requester_region]
-            remote = [p for p in candidates if p.region != requester_region]
-            self._rng.shuffle(local)
-            self._rng.shuffle(remote)
+        counters.index_hits += 1
+        # ``count`` per side covers the worst-case consumption of the
+        # merge + top-up tail (at most ``count`` from one side).
+        local = overlay.index.sample_region(
+            self._rng, requester_region, count, exclude_addr=exclude_addr
+        )
+        remote = overlay.index.sample_outside_region(
+            self._rng, requester_region, count, exclude_addr=exclude_addr
+        )
         return self._assemble(overlay, local, remote, count)
 
 
@@ -225,7 +185,7 @@ class RankedPeerListProvider(_PeerListPipeline):
        alone would herd joiners onto the newest member, growing chains
        instead of trees), then spare upload capacity, then a *stable*
        per-peer jitter (a keyed hash under the overlay's salt) so
-       equally-good parents don't herd and both execution paths agree;
+       equally-good parents don't herd and the ranking is reproducible;
     3. *cap* -- the same-region-fraction privacy cap bounds how much of
        the list the requester's own region/AS may occupy;
     4. *top up* -- the source is appended as a last-resort candidate,
@@ -235,15 +195,8 @@ class RankedPeerListProvider(_PeerListPipeline):
     The same scoring serves churn repair (:meth:`select_repair`), so
     an orphan re-parents with the ranking its original list used.
 
-    With ``use_index`` (the default) the gather+score stages are a
-    handful of heap pops from the overlay's
-    :class:`~repro.p2p.index.CandidateIndex`; ``use_index=False`` runs
-    the O(n) scan *reference path*, which is pinned byte-identical to
-    the index path (the equivalence suite's whole point).  ``max_pool``
-    survives as the per-side consideration bound applied identically on
-    both paths -- its historical role (random subsampling to bound the
-    scan's quadratic cost) is obsolete now that the index bounds
-    per-request cost structurally.
+    The gather+score stages are a handful of heap pops from the
+    overlay's :class:`~repro.p2p.index.CandidateIndex`.
     """
 
     def __init__(
@@ -252,33 +205,15 @@ class RankedPeerListProvider(_PeerListPipeline):
         geo,
         rng: random.Random,
         same_region_fraction: float = 0.75,
-        max_pool: int = 512,
-        use_index: bool = True,
     ) -> None:
         if not 0.0 <= same_region_fraction <= 1.0:
             raise ValueError("same_region_fraction must be a fraction")
-        if max_pool < 1:
-            raise ValueError("max_pool must be positive")
         self._overlays = overlays
         self._geo = geo
         self._rng = rng
         self.same_region_fraction = same_region_fraction
-        self.max_pool = max_pool
-        self.use_index = use_index
 
     # -- pipeline stages ------------------------------------------------
-
-    @staticmethod
-    def _proximity(peer: Peer, record) -> int:
-        """2 = same AS, 1 = same region, 0 = elsewhere/unknown."""
-        if record is None:
-            return 0
-        asn = getattr(peer, "asn", 0)
-        if asn and asn == record.asn:
-            return 2
-        if peer.region == record.region:
-            return 1
-        return 0
 
     def _ranked_sides(
         self,
@@ -289,37 +224,12 @@ class RankedPeerListProvider(_PeerListPipeline):
         accept: Optional[Callable[[Peer], bool]] = None,
     ) -> Tuple[List[Peer], List[Peer]]:
         """The requester-local and remote rank lists, each truncated to
-        ``min(count, max_pool)`` -- the most either side can contribute
-        to a ``count``-slot list, so truncation never changes output."""
-        need = min(count, self.max_pool)
-        index = getattr(overlay, "index", None) if self.use_index else None
-        if index is not None:
-            counters.index_hits += 1
-            local = index.top_local(record, need, exclude_addr, accept=accept)
-            remote = index.top_remote(record, need, exclude_addr, accept=accept)
-            return local, remote
-        counters.fallback_scans += 1
-        candidates = self._scan_eligible(overlay, exclude_addr)
-        if accept is not None:
-            candidates = [peer for peer in candidates if accept(peer)]
-        return self._rank_scan(candidates, record, overlay.selection_salt, need)
-
-    def _rank_scan(
-        self, candidates: Sequence[Peer], record, salt: bytes, need: int
-    ) -> Tuple[List[Peer], List[Peer]]:
-        """Reference ranking: sort everything by the shared key."""
-        ordered = sorted(
-            candidates,
-            key=lambda peer: (
-                -self._proximity(peer, record),
-                peer.depth,
-                -peer.spare_capacity,
-                stable_jitter(salt, peer.peer_id),
-                peer.peer_id,
-            ),
-        )
-        local = [p for p in ordered if self._proximity(p, record) > 0][:need]
-        remote = [p for p in ordered if self._proximity(p, record) == 0][:need]
+        ``count`` -- the most either side can contribute to a
+        ``count``-slot list, so truncation never changes output."""
+        counters.index_hits += 1
+        index = overlay.index
+        local = index.top_local(record, count, exclude_addr, accept=accept)
+        remote = index.top_remote(record, count, exclude_addr, accept=accept)
         return local, remote
 
     # -- PeerListProvider interface -------------------------------------
@@ -348,35 +258,13 @@ class RankedPeerListProvider(_PeerListPipeline):
 
         Matches :data:`repro.p2p.overlay.RepairSelector`: the overlay
         passes its source-connectivity probe as ``accept`` and this
-        provider draws the candidate set itself (index or scan -- same
-        result either way).  No source reservation here:
-        ``remove_peer`` appends the source itself.
+        provider draws the candidate set from the index.  No source
+        reservation here: ``remove_peer`` appends the source itself.
         """
         counters.requests += 1
         record = self._geo.lookup(orphan.address)
         local, remote = self._ranked_sides(
             overlay, record, orphan.address, count, accept=accept
-        )
-        local_quota = int(round(count * self.same_region_fraction))
-        chosen, _ = merge_with_quota(local, remote, count, local_quota)
-        return [peer.descriptor() for peer in chosen]
-
-    def rank_for_repair(
-        self, requester_addr: str, candidates: Sequence[Peer], count: int
-    ) -> List[PeerDescriptor]:
-        """Rank an explicit candidate set (the overlay's connected,
-        spare-capacity members) for an orphan's re-join.
-
-        Matches :data:`repro.p2p.overlay.RepairRanker`, the legacy
-        pre-index hook; :meth:`select_repair` supersedes it.  Carries
-        no overlay, so ties break under a fixed module salt.
-        """
-        counters.requests += 1
-        counters.fallback_scans += 1
-        counters.candidates_considered += len(candidates)
-        record = self._geo.lookup(requester_addr)
-        local, remote = self._rank_scan(
-            candidates, record, _DETACHED_SALT, min(count, self.max_pool)
         )
         local_quota = int(round(count * self.same_region_fraction))
         chosen, _ = merge_with_quota(local, remote, count, local_quota)

@@ -1,7 +1,7 @@
 """Event-driven protocol execution: the functional DRM under virtual time.
 
 :class:`AsyncClient` performs the real protocol exchanges -- the same
-crypto, the same manager handlers as the synchronous
+crypto, request builders and manager handlers as the synchronous
 :class:`~repro.core.client.Client` -- but as chained messages over a
 :class:`~repro.sim.rpc.VirtualNetwork`.  Every round's latency is then
 an *emergent* quantity: request one-way delay + farm queueing/service +
@@ -21,17 +21,15 @@ from typing import Callable, List, Optional
 
 from repro.core.accounts import secure_hash_password
 from repro.core.challenge import answer_challenge
+from repro.core.client import build_login2_request, switch2_request
 from repro.core.protocol import (
     JoinAccept,
     Login1Request,
     Login1Response,
-    Login2Request,
     Login2Response,
     Switch1Request,
-    Switch2Request,
     Switch2Response,
 )
-from repro.core.user_manager import ChecksumParams
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import generate_keypair
 from repro.crypto.stream import SymmetricKey
@@ -44,7 +42,6 @@ from repro.sim.costs import (
 )
 from repro.sim.rpc import RpcService, VirtualNetwork
 from repro.trace.span import Span, Tracer
-from repro.util.wire import Decoder
 
 
 def wire_user_manager(network: VirtualNetwork, manager, address: str, station=None) -> RpcService:
@@ -222,26 +219,8 @@ class AsyncClient:
             state = {}
 
             def compute() -> None:
-                blob_key = SymmetricKey(material=self._shp[:16])
-                plain = blob_key.decrypt(
-                    response.encrypted_blob, nonce=response.blob_nonce, aad=b"login1"
-                )
-                dec = Decoder(plain)
-                nonce = dec.get_bytes()
-                params = ChecksumParams(
-                    salt=dec.get_bytes(), offset_seed=dec.get_u32(), length=dec.get_u32()
-                )
-                dec.get_f64()
-                checksum = params.compute(self.image)
-                payload = nonce + checksum + self.version.encode("utf-8")
-                state["request"] = Login2Request(
-                    email=self.email,
-                    client_public_key=self.public_key,
-                    token=response.token,
-                    nonce=nonce,
-                    checksum=checksum,
-                    version=self.version,
-                    signature=self._key.sign(payload),
+                state["request"], _ = build_login2_request(
+                    self.email, self._key, self._shp, self.version, self.image, response
                 )
 
             def send_round2() -> None:
@@ -304,12 +283,6 @@ class AsyncClient:
             request1=Switch1Request(
                 user_ticket=self.user_ticket, channel_id=channel_id
             ),
-            request2_builder=lambda token, signature: Switch2Request(
-                user_ticket=self.user_ticket,
-                token=token,
-                signature=signature,
-                channel_id=channel_id,
-            ),
             on_done=on_done,
             on_fail=on_fail,
         )
@@ -323,19 +296,12 @@ class AsyncClient:
         """Begin renewal of the held Channel Ticket (Section IV-D)."""
         if self.user_ticket is None or self.channel_ticket is None:
             raise RuntimeError("switch first")
-        expiring = self.channel_ticket
         self._start_switch_rounds(
             cm_address,
             op_name="RENEWAL",
             round_names=("RENEW1", "RENEW2"),
             request1=Switch1Request(
-                user_ticket=self.user_ticket, expiring_ticket=expiring
-            ),
-            request2_builder=lambda token, signature: Switch2Request(
-                user_ticket=self.user_ticket,
-                token=token,
-                signature=signature,
-                expiring_ticket=expiring,
+                user_ticket=self.user_ticket, expiring_ticket=self.channel_ticket
             ),
             on_done=on_done,
             on_fail=on_fail,
@@ -347,7 +313,6 @@ class AsyncClient:
         op_name: str,
         round_names,
         request1: Switch1Request,
-        request2_builder,
         on_done: Callable[[Switch2Response], None],
         on_fail: Optional[Callable[[Exception], None]],
     ) -> None:
@@ -394,7 +359,9 @@ class AsyncClient:
                     caller_region=self.region,
                     dst_address=cm_address,
                     method="switch2",
-                    payload=request2_builder(response1.token, state["signature"]),
+                    payload=switch2_request(
+                        request1, response1.token, state["signature"]
+                    ),
                     on_reply=handle_switch2,
                     on_error=fail,
                     timeout=self.round_timeout,

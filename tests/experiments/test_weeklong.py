@@ -4,8 +4,15 @@ A reduced two-day run keeps this fast while still exercising the full
 pipeline; the benchmark suite runs the full seven days.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments.common import ServiceTimes, WeeklongConfig
 from repro.experiments.weeklong import WeeklongRunner
 from repro.metrics.stats import ks_distance, median
@@ -71,6 +78,32 @@ class TestDeterminism:
         b = WeeklongRunner(config).run()
         assert a.collector.latencies("LOGIN1") == b.collector.latencies("LOGIN1")
         assert a.correlations() == b.correlations()
+
+    def test_cm_utilizations_independent_of_hash_seed(self):
+        """The CM partition of a channel must not depend on the
+        per-process salt of the built-in ``hash``."""
+        script = (
+            "import json\n"
+            "from repro.experiments.common import WeeklongConfig\n"
+            "from repro.experiments.weeklong import WeeklongRunner\n"
+            "config = WeeklongConfig(peak_concurrent=20, n_channels=8, horizon=7200.0)\n"
+            "print(json.dumps(WeeklongRunner(config).run().cm_utilizations))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        runs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            runs.append(json.loads(out.stdout))
+        assert len(runs[0]) == 2 and any(runs[0])
+        assert runs[0] == runs[1]
 
 
 class TestConfig:

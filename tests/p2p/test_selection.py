@@ -193,12 +193,11 @@ class TestRankedPeerListProvider:
         assert all(d.spare_capacity > 0 for d in sample)
         assert any(d.asn for d in sample if not d.peer_id.startswith("source"))
 
-    def test_rank_for_repair_prefers_local(self, populated):
+    def test_select_repair_prefers_local(self, populated):
         provider = self.make_provider(populated)
         overlay = populated.overlays["intl"]
         orphan = next(p for p in overlay.peers.values() if p.region == "DE")
-        candidates = [p for p in overlay.peers.values() if p is not orphan]
-        ranked = provider.rank_for_repair(orphan.address, candidates, count=4)
+        ranked = provider.select_repair(overlay, orphan, lambda peer: True, count=4)
         assert ranked
         assert ranked[0].region == "DE"
 
@@ -211,7 +210,7 @@ class TestRankedPeerListProvider:
         and wires the same ranking into churn repair."""
         assert isinstance(populated.ranked_provider, RankedPeerListProvider)
         overlay = populated.overlays["intl"]
-        assert overlay.repair_ranker is not None
+        assert overlay.repair_selector is not None
         client = populated.create_client("fresh@example.org", "pw", region="CH")
         client.login(now=1.0)
         response = client.switch_channel("intl", now=1.0)
@@ -221,9 +220,9 @@ class TestRankedPeerListProvider:
     def test_uniform_fallback_and_reinstall(self, populated):
         overlay = populated.overlays["intl"]
         populated.use_uniform_peer_lists()
-        assert overlay.repair_ranker is None
+        assert overlay.repair_selector is None
         populated.use_ranked_peer_lists(same_region_fraction=0.6)
-        assert overlay.repair_ranker is not None
+        assert overlay.repair_selector is not None
         assert populated.ranked_provider.same_region_fraction == 0.6
 
     def test_saturated_source_does_not_shorten_list(self):

@@ -4,7 +4,7 @@ The whole point of the :class:`~repro.p2p.index.CandidateIndex` is
 that it is an *optimization*, not a policy change: for any overlay
 state reachable through the public event API, the ranked provider
 must return byte-identical peer lists whether it answers from the
-index or from the O(n) reference scan.  A Hypothesis state machine
+index or from the O(n) reference scan (``tests/oracles/selection_scan.py``).  A Hypothesis state machine
 drives a real deployment through randomized interleavings of the
 events the index absorbs -- joins, departures (with their repair
 cascades), in-place deaths, quarantine and release -- and after
@@ -41,6 +41,7 @@ from repro.deployment import Deployment
 from repro.errors import CapacityError
 from repro.p2p.scorecard import POLLUTION
 from repro.p2p.selection import RankedPeerListProvider
+from tests.oracles.selection_scan import ScanRankedPeerListProvider
 
 REGIONS = ("CH", "DE", "FR")
 CHANNEL = "eq"
@@ -68,13 +69,11 @@ class SelectionEquivalence(RuleBasedStateMachine):
             self.deployment.overlays,
             self.deployment.geo,
             random.Random(0),
-            use_index=True,
         )
-        self.scan = RankedPeerListProvider(
+        self.scan = ScanRankedPeerListProvider(
             self.deployment.overlays,
             self.deployment.geo,
             random.Random(0),
-            use_index=False,
         )
         self.serial = 0
         self.quarantined = set()
