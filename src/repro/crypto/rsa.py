@@ -14,7 +14,8 @@ This module provides those operations with textbook RSA:
 * signatures are full-domain-style: ``sig = pad(SHA-256(m))^d mod n``
   with deterministic PKCS#1-v1.5-shaped padding;
 * encryption pads the message with a random non-zero mask byte prefix
-  (a simplified PKCS#1 type-2 padding) drawn from the caller's DRBG.
+  (a simplified PKCS#1 type-2 padding) drawn in bulk from the caller's
+  DRBG.
 
 Key sizes default to 512 bits in simulation (fast pure-Python keygen);
 the construction is identical at production sizes.
@@ -109,6 +110,11 @@ class RsaPublicKey:
         Uses simplified PKCS#1 type-2 padding: ``00 02 || nonzero-random
         || 00 || plaintext``.  Message must fit with at least 8 bytes of
         random padding.
+
+        The padding is drawn in bulk: one ``generate(pad_len)`` with its
+        zero bytes dropped, topped up by further bulk draws for the
+        shortfall, so a 512-bit key's ~45 pad bytes almost always take
+        one or two DRBG calls.
         """
         k = self.size_bytes
         max_len = k - 11
@@ -117,12 +123,10 @@ class RsaPublicKey:
                 f"plaintext too long for {k * 8}-bit key: {len(plaintext)} > {max_len}"
             )
         pad_len = k - 3 - len(plaintext)
-        pad = bytearray()
+        pad = drbg.generate(pad_len).replace(b"\x00", b"")
         while len(pad) < pad_len:
-            byte = drbg.generate(1)
-            if byte != b"\x00":
-                pad.extend(byte)
-        block = _ENC_PREFIX + bytes(pad) + b"\x00" + plaintext
+            pad += drbg.generate(pad_len - len(pad)).replace(b"\x00", b"")
+        block = _ENC_PREFIX + pad + b"\x00" + plaintext
         m_int = int.from_bytes(block, "big")
         c_int = pow(m_int, self.e, self.n)
         return c_int.to_bytes(k, "big")

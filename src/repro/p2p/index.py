@@ -293,19 +293,21 @@ class CandidateIndex:
         ASes (proximity 1), each block in shared-key order."""
         if record is None or count <= 0:
             return []
-        out: List = []
+        out: List[_Entry] = []
         asn = getattr(record, "asn", 0)
         if asn:
             bucket = self._by_asn.get(asn)
             if bucket is not None:
                 out.extend(
-                    self._take(bucket, count, exclude_addr, accept, exclude_asn=None)
+                    self._merge(
+                        [bucket], count, exclude_addr, accept, exclude_asn=None
+                    )
                 )
         bucket = self._by_region.get(record.region)
         if bucket is not None and len(out) < count:
             out.extend(
-                self._take(
-                    bucket, count - len(out), exclude_addr, accept, exclude_asn=asn
+                self._merge(
+                    [bucket], count - len(out), exclude_addr, accept, exclude_asn=asn
                 )
             )
         return [entry.peer for entry in out]
@@ -324,36 +326,49 @@ class CandidateIndex:
             return []
         region = getattr(record, "region", None) if record is not None else None
         asn = getattr(record, "asn", 0) if record is not None else 0
-        gathered: List[_Entry] = []
-        for name, bucket in self._by_region.items():
-            if name == region:
-                continue
-            gathered.extend(
-                self._take(bucket, count, exclude_addr, accept, exclude_asn=asn)
-            )
-        gathered.sort(key=_Entry.key)
-        return [entry.peer for entry in gathered[:count]]
+        buckets = [
+            bucket for name, bucket in self._by_region.items() if name != region
+        ]
+        out = self._merge(buckets, count, exclude_addr, accept, exclude_asn=asn)
+        return [entry.peer for entry in out]
 
-    def _take(
+    def _merge(
         self,
-        bucket: _Bucket,
+        buckets: List[_Bucket],
         count: int,
         exclude_addr: Optional[str],
         accept: Optional[PeerFilter],
         exclude_asn: Optional[int],
     ) -> List[_Entry]:
-        """Pop the bucket's ``count`` best matching entries, validating
-        lazily-deleted tuples, then push every valid tuple back."""
-        heap = bucket.heap
-        popped: List[Tuple[int, int, int, str, int]] = []
+        """The ``count`` best matching entries across ``buckets``, in
+        key order: a lazy k-way merge over the bucket heaps.
+
+        A frontier heap holds each bucket's head; the global head is
+        popped, validated (lazily-deleted tuples are dropped) and
+        filtered, and the merge stops at ``count`` accepted entries.
+        Every valid tuple popped is pushed back; unconsumed heads were
+        only peeked, so they never left their heaps.  Cost is
+        ``O((count + filtered + stale) . log n)``, whatever the number
+        of buckets.
+        """
+        heaps = [bucket.heap for bucket in buckets if bucket.heap]
+        frontier = [(heap[0], slot) for slot, heap in enumerate(heaps)]
+        heapq.heapify(frontier)
+        popped: List[Tuple[List, Tuple[int, int, int, str, int]]] = []
         out: List[_Entry] = []
-        while heap and len(out) < count:
+        while frontier and len(out) < count:
+            slot = frontier[0][1]
+            heap = heaps[slot]
             item = heapq.heappop(heap)
+            if heap:
+                heapq.heapreplace(frontier, (heap[0], slot))
+            else:
+                heapq.heappop(frontier)
             entry = self._entries.get(item[3])
             if entry is None or not entry.eligible or item[4] != entry.token:
                 counters.stale_entries_skipped += 1
                 continue
-            popped.append(item)
+            popped.append((heap, item))
             counters.candidates_considered += 1
             if exclude_addr is not None and entry.address == exclude_addr:
                 continue
@@ -362,7 +377,7 @@ class CandidateIndex:
             if accept is not None and not accept(entry.peer):
                 continue
             out.append(entry)
-        for item in popped:
+        for heap, item in popped:
             heapq.heappush(heap, item)
         return out
 

@@ -648,6 +648,13 @@ class ChannelOverlay:
             child = self.peers.get(peer_id)
             if plan is None or child is None:
                 return []
+            # Parents key their child links by the child's user id, so
+            # the link check is one dict lookup, not a children scan.
+            # A client that dropped its Channel Ticket (it moved away)
+            # holds no valid link.
+            ticket = child.client.channel_ticket
+            if ticket is None:
+                return []
             out: List[str] = []
             for parent_id in set(plan.parents.values()):
                 holder = (
@@ -657,9 +664,8 @@ class ChannelOverlay:
                 )
                 if holder is None or not holder.alive:
                     continue
-                if any(
-                    link.child_peer is child for link in holder.children.values()
-                ):
+                link = holder.children.get(ticket.user_id)
+                if link is not None and link.child_peer is child:
                     out.append(parent_id)
             return out
 

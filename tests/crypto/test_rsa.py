@@ -122,6 +122,84 @@ class TestEncryption:
         assert key.decrypt(key.public_key.encrypt(b"", drbg)) == b""
 
 
+def padding_of(key, ciphertext, plaintext_len):
+    """Recover the type-2 padding bytes with the raw private op."""
+    block = pow(int.from_bytes(ciphertext, "big"), key.d, key.n).to_bytes(
+        key.size_bytes, "big"
+    )
+    pad_len = key.size_bytes - 3 - plaintext_len
+    assert block[:2] == b"\x00\x02"
+    assert block[2 + pad_len] == 0
+    return block[2 : 2 + pad_len]
+
+
+class CountingDrbg(HmacDrbg):
+    """An HmacDrbg that records the size of every ``generate`` call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def generate(self, nbytes):
+        self.calls.append(nbytes)
+        return super().generate(nbytes)
+
+
+class ZeroHeavyDrbg:
+    """Worst-case padding source: the first draw is all zeros, every
+    later draw alternates nonzero and zero bytes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def generate(self, nbytes):
+        self.calls.append(nbytes)
+        if len(self.calls) == 1:
+            return bytes(nbytes)
+        return bytes(0 if i % 2 else 1 + i % 255 for i in range(nbytes))
+
+
+class TestBulkPadding:
+    def test_zero_heavy_source_is_topped_up(self, key):
+        drbg = ZeroHeavyDrbg()
+        plaintext = b"\x05" * 16
+        ciphertext = key.public_key.encrypt(plaintext, drbg)
+        pad_len = key.size_bytes - 3 - len(plaintext)
+        assert key.decrypt(ciphertext) == plaintext
+        pad = padding_of(key, ciphertext, len(plaintext))
+        assert len(pad) == pad_len and 0 not in pad
+        # The first draw is wholly discarded; each top-up asks for
+        # exactly the shortfall and keeps half of it, rounded up.
+        assert drbg.calls[0] == pad_len
+        missing = pad_len
+        for requested in drbg.calls[1:]:
+            assert requested == missing
+            missing -= (requested + 1) // 2
+        assert missing == 0
+        assert len(drbg.calls) > 3
+
+    def test_padding_is_pad_len_nonzero_bytes_at_every_length(self, key):
+        drbg = HmacDrbg(b"every-length")
+        for length in range(key.size_bytes - 10):
+            plaintext = bytes(range(length))
+            ciphertext = key.public_key.encrypt(plaintext, drbg)
+            assert key.decrypt(ciphertext) == plaintext
+            pad = padding_of(key, ciphertext, length)
+            assert len(pad) == key.size_bytes - 3 - length >= 8
+            assert 0 not in pad
+
+    def test_at_most_two_drbg_calls_per_encrypt(self, key):
+        assert key.size_bytes * 8 == 512
+        drbg = CountingDrbg(b"bulk-draw")
+        per_encrypt = []
+        for _ in range(200):
+            before = len(drbg.calls)
+            key.public_key.encrypt(b"\x01" * 16, drbg)
+            per_encrypt.append(len(drbg.calls) - before)
+        assert max(per_encrypt) <= 2
+        assert per_encrypt.count(2) < len(per_encrypt) // 2
+
+
 class TestSerialization:
     def test_public_key_roundtrip(self, key):
         blob = key.public_key.to_bytes()

@@ -19,6 +19,7 @@ from repro.errors import OverlayError
 from repro.metrics.selection import counters
 from repro.p2p.index import CandidateIndex, stable_jitter
 from repro.p2p.scorecard import POLLUTION
+from tests.oracles.remote_gather import gather_top_remote
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +141,96 @@ class TestRankedDraws:
         record = StubRecord("CH", 1000)
         first = ids(index.top_local(record, 5))
         assert all(ids(index.top_local(record, 5)) == first for _ in range(5))
+
+
+# ----------------------------------------------------------------------
+# The remote merge, pinned against the gather-and-sort oracle
+# ----------------------------------------------------------------------
+
+REMOTE_REGIONS = ("DE", "FR", "UK", "AT")
+
+
+def churned_index(seed):
+    """An index with a requester region (CH), four remote region
+    buckets and ASNs shared across regions, churned so the heaps hold
+    stale tuples: key changes, capacity exhaustion, quarantine,
+    departures and region moves.  Rebuilt from ``seed`` so two copies
+    hold identical state."""
+    rng = random.Random(seed)
+    peers = [
+        StubPeer(
+            f"p{i:03d}",
+            region=rng.choice(("CH",) + REMOTE_REGIONS),
+            asn=rng.choice((1000, 2000, 3000, 4000)),
+            address=f"10.1.{i // 250}.{i % 250}",
+            depth=rng.randrange(4),
+            spare=rng.randrange(1, 4),
+        )
+        for i in range(90)
+    ]
+    index = make_index(peers)
+    for _ in range(150):
+        peer = rng.choice(peers)
+        roll = rng.random()
+        if roll < 0.5:
+            peer.depth = rng.randrange(4)
+            peer.spare_capacity = rng.randrange(0, 4)
+            index.update_peer(peer)
+        elif roll < 0.7:
+            index.set_admissible(peer.peer_id, rng.random() < 0.5)
+        elif roll < 0.8:
+            peer.region = rng.choice(REMOTE_REGIONS)
+            index.update_peer(peer)
+        else:
+            index.remove_peer(peer.peer_id)
+    return index, peers
+
+
+class TestRemoteMerge:
+    def test_merge_matches_gather_oracle(self):
+        for seed in range(6):
+            merged, peers = churned_index(seed)
+            gathered, _ = churned_index(seed)
+            assert sum(len(merged._by_region[r].heap) for r in REMOTE_REGIONS) > sum(
+                len(merged._by_region[r]) for r in REMOTE_REGIONS
+            ), "the churn must leave stale tuples in the remote heaps"
+            rejected = {p.peer_id for p in peers[::3]}
+            draws = [
+                dict(),
+                dict(exclude_addr=peers[7].address),
+                dict(accept=lambda p: p.peer_id not in rejected),
+                dict(exclude_addr=peers[11].address, accept=lambda p: p.depth != 1),
+                dict(accept=lambda p: False),
+            ]
+            for record in (StubRecord("CH", 1000), StubRecord("DE", 3000), None):
+                for kwargs in draws:
+                    for count in (0, 1, 3, 8, 200):
+                        expected = ids(
+                            gather_top_remote(gathered, record, count, **kwargs)
+                        )
+                        # Twice: the first draw must push back what it popped.
+                        for _ in range(2):
+                            got = ids(merged.top_remote(record, count, **kwargs))
+                            assert got == expected, (seed, kwargs, count)
+
+    def test_merge_examines_exactly_count_when_clean(self):
+        peers = [
+            StubPeer(
+                f"r{i:02d}",
+                region=REMOTE_REGIONS[i % 4],
+                asn=2000 + i % 4,
+                address=f"10.2.0.{i}",
+                depth=i % 3,
+            )
+            for i in range(40)
+        ]
+        index = make_index(peers)  # fresh: one valid tuple per peer
+        before = counters.snapshot()
+        remote = index.top_remote(StubRecord("CH", 1000), 8)
+        after = counters.snapshot()
+        assert len(remote) == 8
+        assert after["candidates_considered"] - before["candidates_considered"] == 8
+        assert after["stale_entries_skipped"] == before["stale_entries_skipped"]
 
 
 # ----------------------------------------------------------------------

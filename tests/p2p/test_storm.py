@@ -85,6 +85,46 @@ class TestRankedVsUniform:
         assert ranked["repair_locality"] > uniform["repair_locality"]
 
 
+#: ``as_dict()`` of a 300-viewer ranked storm at seed 1, without the
+#: selection counters.  Recorded before the padding draw and the
+#: remote-candidate merge were made cheaper: both change how much work
+#: a join costs, never which tree, latencies or repairs it produces.
+GOLDEN_RANKED_300 = {
+    "departed": 174,
+    "index_verifications": 0,
+    "join_failures": 0,
+    "join_latency": {"count": 300, "mean": 0.8072, "p50": 0.7106, "p99": 2.2206},
+    "joined": 300,
+    "key_dist_latency": {"count": 300, "mean": 0.4254, "p50": 0.3537, "p99": 1.5301},
+    "max_depth": 12,
+    "mean_depth": 6.68,
+    "parent_locality": 0.987,
+    "phases": {
+        "FIRSTPKT": {"count": 300, "mean": 0.4424, "p50": 0.3725, "p99": 1.4562},
+        "JOIN": {"count": 300, "mean": 0.0864, "p50": 0.0625, "p99": 0.447},
+        "REDIRECT": {"count": 300, "mean": 0.1483, "p50": 0.0905, "p99": 1.3037},
+        "SWITCH": {"count": 300, "mean": 0.1302, "p50": 0.091, "p99": 0.7564},
+    },
+    "repair_locality": 0.932,
+    "repair_time": {"count": 191, "mean": 0.2593, "p50": 0.1745, "p99": 1.2657},
+    "repairs_failed": 0,
+    "sampler": "ranked",
+    "spans": 1691,
+    "viewers": 300,
+}
+
+
+class TestGoldenStorm:
+    def test_ranked_storm_outputs_pinned(self):
+        payload = run_overlay_storm(
+            OverlayStormConfig(viewers=300, seed=1, sampler="ranked")
+        ).as_dict()
+        # How many candidates a request examines is cost, not output.
+        payload.pop("selection")
+        payload.pop("candidates_per_request")
+        assert payload == GOLDEN_RANKED_300
+
+
 class TestShardedArm:
     def test_storm_runs_against_sharded_tier(self):
         result = run_overlay_storm(
